@@ -8,7 +8,6 @@
 //	apsp-bench table2            # Table 2: block size / partitioner sweep
 //	apsp-bench table3            # Table 3 + Figure 5: weak scaling
 //	apsp-bench kernels           # fused vs unfused min-plus microbenchmarks
-//	apsp-bench store             # tiled-store query throughput (dist/row/knn/path)
 //	apsp-bench serve             # serving-engine throughput (single, hot, concurrent, batch)
 //	apsp-bench sparse            # host-native CSR Dijkstra vs dense Blocked-CB
 //	apsp-bench hierarchy         # partition+shortcut hierarchy: build cost + on-demand query latency
@@ -29,23 +28,16 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
 	"apspark/internal/bench"
 	"apspark/internal/costmodel"
-	"apspark/internal/graph"
 	"apspark/internal/matrix"
-	"apspark/internal/seq"
-	"apspark/internal/serve"
-	"apspark/internal/store"
 )
 
 // kernelResult is one host microbenchmark line in BENCH.json.
@@ -69,20 +61,6 @@ type experimentResult struct {
 	GoMaxProcs int     `json:"gomaxprocs,omitempty"`
 	CPUs       int     `json:"cpus,omitempty"`
 	VirtualSec float64 `json:"virtual_sec"`
-}
-
-// storeQueryResult is one serving-layer throughput measurement: queries
-// against a persisted tile store on this host.
-type storeQueryResult struct {
-	Query      string  `json:"query"`
-	N          int     `json:"n"`
-	Quick      bool    `json:"quick,omitempty"`
-	GoMaxProcs int     `json:"gomaxprocs,omitempty"`
-	CPUs       int     `json:"cpus,omitempty"`
-	BlockSize  int     `json:"block_size"`
-	CacheBytes int64   `json:"cache_bytes"`
-	NsPerOp    int64   `json:"wall_ns_per_op"`
-	QPS        float64 `json:"queries_per_sec"`
 }
 
 // serveQueryResult is one serving-engine measurement: single-query
@@ -118,7 +96,6 @@ type report struct {
 	Quick       bool                `json:"quick"`
 	Kernels     []kernelResult      `json:"kernels,omitempty"`
 	Experiments []experimentResult  `json:"experiments,omitempty"`
-	StoreQuery  []storeQueryResult  `json:"store_query,omitempty"`
 	ServeQuery  []serveQueryResult  `json:"serve_query,omitempty"`
 	SparseSolve []sparseSolveResult `json:"sparse_solve,omitempty"`
 	Hierarchy   []hierarchyResult   `json:"hierarchy,omitempty"`
@@ -159,16 +136,15 @@ func main() {
 	run("table2", table2)
 	run("table3", table3)
 	run("kernels", kernels)
-	run("store", storeQueries)
 	run("serve", serveQueries)
 	run("sparse", sparseSolve)
 	run("hierarchy", hierarchySolve)
 	run("churn", churnBench)
 	run("codec", codecBench)
 	switch what {
-	case "all", "fig2", "fig3", "table2", "table3", "kernels", "store", "serve", "sparse", "hierarchy", "churn", "codec":
+	case "all", "fig2", "fig3", "table2", "table3", "kernels", "serve", "sparse", "hierarchy", "churn", "codec":
 	default:
-		fmt.Fprintf(os.Stderr, "apsp-bench: unknown target %q (want fig2|fig3|table2|table3|kernels|store|serve|sparse|hierarchy|churn|codec|all)\n", what)
+		fmt.Fprintf(os.Stderr, "apsp-bench: unknown target %q (want fig2|fig3|table2|table3|kernels|serve|sparse|hierarchy|churn|codec|all)\n", what)
 		os.Exit(2)
 	}
 
@@ -184,10 +160,6 @@ func main() {
 	for i := range rep.Experiments {
 		rep.Experiments[i].Quick = rep.Quick
 		rep.Experiments[i].GoMaxProcs, rep.Experiments[i].CPUs = rep.GoMaxProcs, cpus
-	}
-	for i := range rep.StoreQuery {
-		rep.StoreQuery[i].Quick = rep.Quick
-		rep.StoreQuery[i].GoMaxProcs, rep.StoreQuery[i].CPUs = rep.GoMaxProcs, cpus
 	}
 	for i := range rep.ServeQuery {
 		rep.ServeQuery[i].Quick = rep.Quick
@@ -209,7 +181,7 @@ func main() {
 		rep.Codec[i].Quick = rep.Quick
 		rep.Codec[i].GoMaxProcs, rep.Codec[i].CPUs = rep.GoMaxProcs, cpus
 	}
-	if *jsonPath != "" && (len(rep.Kernels) > 0 || len(rep.Experiments) > 0 || len(rep.StoreQuery) > 0 || len(rep.ServeQuery) > 0 || len(rep.SparseSolve) > 0 || len(rep.Hierarchy) > 0 || len(rep.Churn) > 0 || len(rep.Codec) > 0) {
+	if *jsonPath != "" && (len(rep.Kernels) > 0 || len(rep.Experiments) > 0 || len(rep.ServeQuery) > 0 || len(rep.SparseSolve) > 0 || len(rep.Hierarchy) > 0 || len(rep.Churn) > 0 || len(rep.Codec) > 0) {
 		if err := writeReport(*jsonPath, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "apsp-bench: %v\n", err)
 			os.Exit(1)
@@ -221,7 +193,7 @@ func main() {
 // writeReport merge-updates the JSON report at path: only the sections
 // this run produced are replaced; sections written by earlier runs of
 // other targets survive. (A whole-file overwrite silently discarded e.g.
-// the kernels section every time the store target was refreshed.)
+// the kernels section every time another target was refreshed.)
 func writeReport(path string, rep *report) error {
 	sections := map[string]json.RawMessage{}
 	if old, err := os.ReadFile(path); err == nil {
@@ -250,11 +222,6 @@ func writeReport(path string, rep *report) error {
 	}
 	if len(rep.Experiments) > 0 {
 		if err := put("experiments", rep.Experiments); err != nil {
-			return err
-		}
-	}
-	if len(rep.StoreQuery) > 0 {
-		if err := put("store_query", rep.StoreQuery); err != nil {
 			return err
 		}
 	}
@@ -430,97 +397,4 @@ func kernels(_ costmodel.KernelModel, quick bool, rep *report) error {
 		matrix.Put(dst)
 	}
 	return nil
-}
-
-// storeQueries measures the serving layer: solve a graph once, persist it
-// as a tiled store, reopen it with a cache an eighth of the dense matrix,
-// and measure point, row, k-nearest and path query throughput. The
-// numbers land in BENCH.json as store_query entries so serving-path
-// regressions are as visible across PRs as kernel regressions.
-func storeQueries(_ costmodel.KernelModel, quick bool, rep *report) error {
-	n, bs := 2048, 256
-	if quick {
-		n, bs = 512, 64
-	}
-	g, err := graph.ErdosRenyiPaper(n, 42)
-	if err != nil {
-		return err
-	}
-	dist, err := seq.FloydWarshall(g)
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "apsp-bench-store-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "dist.apsp")
-	if err := store.Write(path, dist, bs); err != nil {
-		return err
-	}
-	cacheBytes := int64(n) * int64(n) // dense matrix / 8
-	st, err := store.Open(path, cacheBytes)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	eng, err := serve.New(st, g)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("store query throughput (n=%d b=%d, cache %.1f MiB of %.1f MiB dense):\n",
-		n, bs, float64(cacheBytes)/(1<<20), float64(n)*float64(n)*8/(1<<20))
-	rng := rand.New(rand.NewSource(1))
-	measure := func(name string, query func() error) error {
-		var failed error
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := query(); err != nil {
-					failed = err
-					b.Fatal(err)
-				}
-			}
-		})
-		if failed != nil {
-			return failed
-		}
-		qps := 0.0
-		if r.NsPerOp() > 0 {
-			qps = 1e9 / float64(r.NsPerOp())
-		}
-		rep.StoreQuery = append(rep.StoreQuery, storeQueryResult{
-			Query: name, N: n, BlockSize: bs, CacheBytes: cacheBytes,
-			NsPerOp: r.NsPerOp(), QPS: qps,
-		})
-		fmt.Printf("  %-6s %12d ns/op %12.0f queries/sec\n", name, r.NsPerOp(), qps)
-		return nil
-	}
-	if err := measure("dist", func() error {
-		_, err := eng.Dist(context.Background(), rng.Intn(n), rng.Intn(n))
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := measure("row", func() error {
-		_, err := eng.Row(context.Background(), rng.Intn(n))
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := measure("knn", func() error {
-		_, err := eng.KNN(context.Background(), rng.Intn(n), 10)
-		return err
-	}); err != nil {
-		return err
-	}
-	return measure("path", func() error {
-		_, err := eng.Path(context.Background(), rng.Intn(n), rng.Intn(n))
-		if err == serve.ErrNoPath {
-			err = nil // disconnected pair: still a served query
-		}
-		return err
-	})
 }

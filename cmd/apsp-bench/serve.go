@@ -24,8 +24,7 @@ import (
 // once, persist it as a tiled store, then measure
 //
 //   - single-query latency of dist/row/knn/path with the caches sized
-//     like the old store target (an eighth of the dense matrix each), so
-//     the serve_query numbers are comparable with the store_query ones;
+//     at an eighth of the dense matrix each;
 //   - steady-state latency and allocs/op of row-cache-hit queries
 //     (row cache large enough for every row, hot working set) — the
 //     regime the amortize-the-solve workloads (Isomap, graph kernels)

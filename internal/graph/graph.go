@@ -46,8 +46,8 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
-		if e.W < 0 {
-			return nil, fmt.Errorf("graph: negative weight %v on edge (%d,%d)", e.W, e.U, e.V)
+		if e.W < 0 || math.IsNaN(e.W) {
+			return nil, fmt.Errorf("graph: negative or NaN weight %v on edge (%d,%d)", e.W, e.U, e.V)
 		}
 		if e.U == e.V {
 			continue

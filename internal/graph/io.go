@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -28,8 +29,20 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 
 // ReadEdgeList parses the edge-list format written by WriteEdgeList.
 // Blank lines and lines starting with '#' are ignored. The header's edge
-// count is validated against the body.
+// count is validated against the body, and it is never trusted for
+// allocation: the edge slice grows with the lines actually read, so a
+// forged count costs nothing. The vertex count is bounded by the graph's
+// int32 adjacency indices.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
+	return readEdgeList(r, math.MaxInt32)
+}
+
+// edgePrealloc caps the edge capacity reserved from the header's count
+// before any edge line has been read.
+const edgePrealloc = 1 << 16
+
+// readEdgeList is ReadEdgeList with an explicit vertex-count limit.
+func readEdgeList(r io.Reader, maxN int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var n, m int
@@ -53,8 +66,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if err1 != nil || err2 != nil || n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad header %q", line, text)
 			}
+			if n > maxN {
+				return nil, fmt.Errorf("graph: line %d: %d vertices, at most %d supported", line, n, maxN)
+			}
 			header = true
-			edges = make([]Edge, 0, m)
+			edges = make([]Edge, 0, min(m, edgePrealloc))
 			continue
 		}
 		if len(fields) != 3 {

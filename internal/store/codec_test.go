@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -201,8 +202,8 @@ func TestDecodeTileTypedErrors(t *testing.T) {
 	}
 }
 
-// TestIVarintDecodeRejectsOutOfRange: a forged stream whose running sum
-// walks past 2^53 must fail, not fabricate inexact values.
+// TestIVarintDecodeRejectsOutOfRange: a forged row stream whose running
+// sum walks past 2^53 must fail, not fabricate inexact values.
 func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	tile := matrix.New(1, 2)
 	tile.Data = []float64{float64(maxExactInt - 1), float64(maxExactInt - 1)}
@@ -211,14 +212,55 @@ func TestIVarintDecodeRejectsOutOfRange(t *testing.T) {
 	if !ok {
 		t.Fatal("declined in-range values")
 	}
-	// …then replay the first big token twice by decoding a stream of
-	// token1, token1: running sum 2·(2^53-1) overflows the exact range.
-	forged := append([]byte(nil), enc[:codecHdrLen]...)
-	tok := enc[codecHdrLen : len(enc)-1] // first token (second token is 0-delta, 1 byte)
+	// …then replay the first big token twice: running sum 2·(2^53-1)
+	// overflows the exact range. The row table is patched to the forged
+	// length so the framing stays valid and only the value is wrong.
+	rowStart := codecHdrLen + 4
+	tok := enc[rowStart : len(enc)-1] // first token (second token is 0-delta, 1 byte)
+	forged := append([]byte(nil), enc[:rowStart]...)
 	forged = append(forged, tok...)
 	forged = append(forged, tok...)
+	binary.LittleEndian.PutUint32(forged[codecHdrLen:], uint32(len(forged)))
 	if _, err := codecs[CodecIVarint].DecodeTile(forged, 1, 2); !errors.Is(err, ErrCodecData) {
 		t.Fatalf("out-of-range forged stream: err = %v, want ErrCodecData", err)
+	}
+	dst := make([]float64, 2)
+	if err := codecs[CodecIVarint].DecodeRow(forged[rowStart:], dst); !errors.Is(err, ErrCodecData) {
+		t.Fatalf("out-of-range forged row: err = %v, want ErrCodecData", err)
+	}
+}
+
+// TestIVarintRowTableRejectsForgery: a row table that is not monotone,
+// does not start at the end of the table or does not end at the payload
+// length fails CheckRows, so no row is read through it.
+func TestIVarintRowTableRejectsForgery(t *testing.T) {
+	tile := matrix.New(3, 4)
+	for i := range tile.Data {
+		tile.Data[i] = float64(i)
+	}
+	enc, ok := codecs[CodecIVarint].EncodeTile(nil, tile)
+	if !ok {
+		t.Fatal("ivarint declined an integer tile")
+	}
+	if err := codecs[CodecIVarint].CheckRows(enc, 3, 4); err != nil {
+		t.Fatalf("valid payload failed CheckRows: %v", err)
+	}
+	entry := func(r int) uint32 { return binary.LittleEndian.Uint32(enc[codecHdrLen+4*r:]) }
+	for name, mutate := range map[string]func(b []byte){
+		"non-monotone":     func(b []byte) { binary.LittleEndian.PutUint32(b[codecHdrLen+4:], entry(0)-1) },
+		"before-table-end": func(b []byte) { binary.LittleEndian.PutUint32(b[codecHdrLen:], codecHdrLen) },
+		"short-of-payload": func(b []byte) { binary.LittleEndian.PutUint32(b[codecHdrLen+8:], entry(2)-1) },
+		"past-payload":     func(b []byte) { binary.LittleEndian.PutUint32(b[codecHdrLen+8:], entry(2)+1) },
+		"v3-magic":         func(b []byte) { b[0] = magicIVarintV3 },
+	} {
+		forged := append([]byte(nil), enc...)
+		mutate(forged)
+		if err := codecs[CodecIVarint].CheckRows(forged, 3, 4); !errors.Is(err, ErrCodecData) {
+			t.Errorf("%s: CheckRows err = %v, want ErrCodecData", name, err)
+		}
+	}
+	if err := codecs[CodecIVarint].CheckRows(enc[:codecHdrLen+5], 3, 4); !errors.Is(err, ErrCodecData) {
+		t.Errorf("truncated table: CheckRows err = %v, want ErrCodecData", err)
 	}
 }
 
@@ -649,4 +691,213 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeRowByRow reads a payload the way the store's row-span path does:
+// framing checked once, then every row located through its RowIndex
+// bytes and decoded alone into a fresh buffer, in reverse order, since
+// rows are read in any order.
+func decodeRowByRow(c Codec, data []byte, h, w int) ([][]float64, error) {
+	if err := c.CheckRows(data, h, w); err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, h)
+	for r := h - 1; r >= 0; r-- {
+		ilo, ihi := c.RowIndex(r, h, w)
+		lo, hi, err := rowBounds(c, data[ilo:ihi], r, h, w, int64(len(data)))
+		if err != nil {
+			return nil, err
+		}
+		rows[r] = make([]float64, w)
+		if err := c.DecodeRow(data[lo:hi], rows[r]); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// FuzzDecodeRow: for any payload, decoding each row segment alone equals
+// row r of DecodeTile bit for bit, or both fail with ErrCodecData — the
+// row-span read path can never serve what a whole-tile decode would
+// refuse, nor refuse what it would serve.
+func FuzzDecodeRow(f *testing.F) {
+	tile := matrix.New(4, 4)
+	for i := range tile.Data {
+		tile.Data[i] = float64(i * i)
+	}
+	tile.Data[5] = matrix.Inf
+	for id := byte(0); id < numCodecs; id++ {
+		if enc, ok := codecs[id].EncodeTile(nil, tile); ok {
+			f.Add(id, enc, 4, 4)
+			f.Add(id, enc[:len(enc)-1], 4, 4)
+			f.Add(id, enc, 4, 2)
+		}
+	}
+	// A table whose second row ends before its first, and one whose rows
+	// are well framed but one segment holds a value too many.
+	enc, _ := codecs[CodecIVarint].EncodeTile(nil, tile)
+	swapped := append([]byte(nil), enc...)
+	copy(swapped[codecHdrLen:], enc[codecHdrLen+4:codecHdrLen+8])
+	copy(swapped[codecHdrLen+4:], enc[codecHdrLen:codecHdrLen+4])
+	f.Add(CodecIVarint, swapped, 4, 4)
+	f.Add(CodecIVarint, []byte{magicIVarint, 1, 0, 0, 0, 1, 0, 0, 0, 15, 0, 0, 0, 1, 1}, 1, 1)
+	f.Fuzz(func(t *testing.T, id byte, data []byte, h, w int) {
+		if h < 1 || w < 1 || h > 64 || w > 64 {
+			t.Skip()
+		}
+		c := codecs[id%numCodecs]
+		whole, werr := c.DecodeTile(data, h, w)
+		rows, rerr := decodeRowByRow(c, data, h, w)
+		if (werr == nil) != (rerr == nil) {
+			t.Fatalf("%s: whole-tile err = %v, row-by-row err = %v", c.Name(), werr, rerr)
+		}
+		if werr != nil {
+			if !errors.Is(werr, ErrCodecData) || !errors.Is(rerr, ErrCodecData) {
+				t.Fatalf("%s: errors not typed: whole %v, rows %v", c.Name(), werr, rerr)
+			}
+			return
+		}
+		for r := 0; r < h; r++ {
+			for j := 0; j < w; j++ {
+				if a, b := math.Float64bits(rows[r][j]), math.Float64bits(whole.At(r, j)); a != b {
+					t.Fatalf("%s: (%d,%d) row-decoded bits %x, whole-tile %x", c.Name(), r, j, a, b)
+				}
+			}
+		}
+	})
+}
+
+// TestIVarintRowTableBitFlipQuarantines: a bit flipped inside an ivarint
+// tile's row-end table is caught on the tile's first touch (the CRC
+// covers the table), quarantines the tile and never serves a row from
+// it; undamaged tiles keep serving. Table rot after the first touch that
+// points a row outside its payload is refused by the bounds check and
+// quarantines too.
+func TestIVarintRowTableBitFlipQuarantines(t *testing.T) {
+	n, bs := 24, 8
+	m := intMatrix(n, 23)
+	path := filepath.Join(t.TempDir(), "c.apsp")
+	c, _ := CodecByName("ivarint")
+	if err := WriteWithCodec(path, m, bs, c); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	t.Run("first-touch", func(t *testing.T) {
+		s, fr := openFaulty(t, path, Options{})
+		if s.TileCodec(0, 0) != CodecIVarint {
+			t.Fatalf("tile (0,0) codec %d, want ivarint", s.TileCodec(0, 0))
+		}
+		ref := s.index[0]
+		tableLo := ref.off + codecHdrLen
+		fr.Inject(faultfs.Fault{
+			Kind: faultfs.KindBitFlip, FlipBit: (codecHdrLen+4*3)*8 + 2,
+			OffLo: tableLo, OffHi: tableLo + 4*int64(bs),
+		})
+		for i := 0; i < bs; i++ {
+			if row, err := s.Row(ctx, i); !errors.Is(err, ErrCorruptTile) {
+				t.Fatalf("row %d through a flipped row table: row %v, err %v; want ErrCorruptTile", i, row != nil, err)
+			}
+		}
+		if s.Quarantined() != 1 {
+			t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+		}
+		for i := bs; i < n; i++ {
+			row, err := s.Row(ctx, i)
+			if err != nil {
+				t.Fatalf("undamaged row %d: %v", i, err)
+			}
+			for j := range row {
+				if math.Float64bits(row[j]) != math.Float64bits(m.At(i, j)) {
+					t.Fatalf("undamaged row %d col %d = %v, want %v", i, j, row[j], m.At(i, j))
+				}
+			}
+		}
+	})
+
+	t.Run("after-first-touch", func(t *testing.T) {
+		s, fr := openFaulty(t, path, Options{})
+		if _, err := s.Row(ctx, 0); err != nil { // first touch of tile-row 0
+			t.Fatal(err)
+		}
+		// Row 5's end entry gains 2^31: later touches read it alone and
+		// must refuse the range instead of reading past the payload.
+		ref := s.index[0]
+		entry := ref.off + codecHdrLen + 4*5
+		fr.Inject(faultfs.Fault{Kind: faultfs.KindBitFlip, FlipBit: 4*8 + 31, OffLo: entry, OffHi: entry + 4})
+		if _, err := s.Row(ctx, 5); !errors.Is(err, ErrCorruptTile) {
+			t.Fatalf("row 5 through a rotted table entry: err = %v, want ErrCorruptTile", err)
+		}
+		if s.Quarantined() != 1 {
+			t.Fatalf("quarantined = %d, want 1", s.Quarantined())
+		}
+	})
+}
+
+// TestColdRowIntoZeroAllocs: with both caches off, once every tile has
+// been touched, a cold RowInto is q segment reads straight into the
+// caller's buffer — no allocation and no whole-tile decode on any codec.
+func TestColdRowIntoZeroAllocs(t *testing.T) {
+	n, bs := 64, 16
+	m := intMatrix(n, 29)
+	for _, name := range []string{"raw", "ivarint", "f32"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := CodecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), name+".apsp")
+			if err := WriteWithCodec(path, m, bs, c); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenWithOptions(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.CodecName() != name {
+				t.Fatalf("store codec %s, want %s", s.CodecName(), name)
+			}
+			ctx := context.Background()
+			buf := make([]float64, 0, n)
+			for i := 0; i < n; i += bs { // first touch of every tile
+				if buf, err = s.RowInto(ctx, i, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var i int
+			allocs := testing.AllocsPerRun(200, func() {
+				i++
+				var err error
+				if buf, err = s.RowInto(ctx, (i*7)%n, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 && !raceEnabled {
+				t.Fatalf("cold %s RowInto allocates %v per op, want 0", name, allocs)
+			}
+			if got := s.DecodeHistogram(name).Snapshot().Count(); got != 0 {
+				t.Fatalf("%d whole-tile %s decodes, want 0", got, name)
+			}
+			if st := s.Stats(); st.Misses != 0 {
+				t.Fatalf("row reads went through the tile cache: %+v", st)
+			}
+			q := s.TilesPerSide()
+			if got, want := s.RowStats().SpanReads, int64(q*(n/bs+201)); got != want {
+				t.Fatalf("span reads = %d, want %d (q per row)", got, want)
+			}
+			for i := 0; i < n; i++ {
+				row, err := s.RowInto(ctx, i, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range row {
+					if want := m.At(i, j); math.Float64bits(row[j]) != math.Float64bits(want) &&
+						(name != "f32" || math.Abs(row[j]-want) > F32DefaultMaxRelErr*math.Max(want, 1)) {
+						t.Fatalf("(%d,%d) = %v, want %v", i, j, row[j], want)
+					}
+				}
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -169,6 +170,174 @@ func TestV2StoreOpensAndServes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// encodeIVarintV3 hand-encodes a v3 ivarint payload: the 0xC2 codec
+// header, then one zigzag-delta uvarint stream over the whole tile in
+// row-major order (token 0 = +Inf, which leaves the predecessor alone) —
+// the layout v3 writers produced, independent of this build's
+// encoder.
+func encodeIVarintV3(tile *matrix.Block) []byte {
+	buf := []byte{magicIVarintV3}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(tile.R))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(tile.C))
+	prev := int64(0)
+	for _, v := range tile.Data {
+		if math.IsInf(v, 1) {
+			buf = binary.AppendUvarint(buf, 0)
+			continue
+		}
+		d := int64(v) - prev
+		buf = binary.AppendUvarint(buf, uint64((d<<1)^(d>>63))+1)
+		prev = int64(v)
+	}
+	return buf
+}
+
+// writeV3Store synthesizes a version-3 store file from hand-assembled
+// bytes: 24-byte index entries with a codec byte, contiguous payloads,
+// whole-tile ivarint tiles — and a raw tile wherever the tile holds a
+// non-integer, as the v3 writer's fallback did.
+func writeV3Store(t *testing.T, path string, m *matrix.Block, blockSize int) {
+	t.Helper()
+	n := m.R
+	q := (n + blockSize - 1) / blockSize
+	hdr := make([]byte, 0, fileHdrLen+q*q*idxEntryLenV2)
+	hdr = append(hdr, magic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, versionV3)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(blockSize))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(q))
+	off := int64(fileHdrLen + q*q*idxEntryLenV2)
+	var tiles []byte
+	for bi := 0; bi < q; bi++ {
+		for bj := 0; bj < q; bj++ {
+			tile := matrix.New(tileEdge(n, blockSize, bi), tileEdge(n, blockSize, bj))
+			if err := m.ExtractInto(tile, bi*blockSize, bj*blockSize); err != nil {
+				t.Fatal(err)
+			}
+			buf, codec := encodeIVarintV3(tile), CodecIVarint
+			for _, v := range tile.Data {
+				if v != math.Trunc(v) {
+					buf, codec = tile.AppendMarshal(nil), CodecRaw
+					break
+				}
+			}
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(buf)))
+			hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(buf, castagnoli))
+			hdr = append(hdr, codec, 0, 0, 0)
+			tiles = append(tiles, buf...)
+			off += int64(len(buf))
+		}
+	}
+	if err := os.WriteFile(path, append(hdr, tiles...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// v3Matrix is an integer matrix with one fractional value, so a v3
+// fixture holds whole-tile ivarint tiles and one raw tile.
+func v3Matrix(n int) *matrix.Block {
+	m := intMatrix(n, 37)
+	m.Set(n-1, n-2, 2.5)
+	return m
+}
+
+// TestV3StoreOpensAndServes: a hand-assembled v3 store with whole-tile
+// ivarint tiles still opens as v3 and serves bit-identical distances
+// through every read path — its ivarint tiles decode whole, the only
+// tiles that still do.
+func TestV3StoreOpensAndServes(t *testing.T) {
+	n, bs := 27, 8
+	m := v3Matrix(n)
+	path := filepath.Join(t.TempDir(), "v3.apsp")
+	writeV3Store(t, path, m, bs)
+
+	for name, opts := range map[string]Options{
+		"tile-path": {TileCacheBytes: 1 << 20},
+		"span-path": {RowCacheBytes: 1 << 20},
+		"uncached":  {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := OpenWithOptions(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.Version() != versionV3 || !s.Checksummed() {
+				t.Fatalf("version = %d checksummed = %v, want v3 checksummed", s.Version(), s.Checksummed())
+			}
+			if tiles := s.CodecTiles(); tiles["ivarint"] != 15 || tiles["raw"] != 1 {
+				t.Fatalf("codec census %v, want 15 ivarint + 1 raw", tiles)
+			}
+			ctx := context.Background()
+			for i := 0; i < n; i++ {
+				row, err := s.Row(ctx, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range row {
+					if math.Float64bits(row[j]) != math.Float64bits(m.At(i, j)) {
+						t.Fatalf("v3 row %d col %d = %v, want bit-identical %v", i, j, row[j], m.At(i, j))
+					}
+				}
+				d, err := s.Dist(ctx, i, (i*5)%n)
+				if err != nil || math.Float64bits(d) != math.Float64bits(m.At(i, (i*5)%n)) {
+					t.Fatalf("v3 dist(%d,%d) = %v (err %v), want %v", i, (i*5)%n, d, err, m.At(i, (i*5)%n))
+				}
+			}
+			if s.DecodeHistogram("ivarint").Snapshot().Count() == 0 {
+				t.Fatal("v3 ivarint tiles served without a whole-tile decode")
+			}
+		})
+	}
+}
+
+// TestV3StorePanelCopyReencodes: raw-panel copies out of a v3 store land
+// in this build's encoding — a v3 ivarint parent copied panel by panel
+// into a new writer yields exactly the v4 store a fresh write of the
+// same matrix produces, so a generation lineage carries across the
+// format change.
+func TestV3StorePanelCopyReencodes(t *testing.T) {
+	n, bs := 27, 8
+	m := v3Matrix(n)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "v3.apsp")
+	writeV3Store(t, src, m, bs)
+	s, err := Open(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, _ := CodecByName("ivarint")
+	copied := filepath.Join(dir, "copied.apsp")
+	w, err := NewPanelWriterWithOptions(copied, n, bs, PanelWriterOptions{Codec: s.PreferredCodec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []byte
+	var metas []TileMeta
+	for bi := 0; bi < s.TilesPerSide(); bi++ {
+		if raw, metas, err = s.ReadPanelRaw(bi, raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRawPanel(raw, metas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.apsp")
+	if err := WriteWithCodec(fresh, m, bs, c); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(copied)
+	b, _ := os.ReadFile(fresh)
+	if string(a) != string(b) {
+		t.Fatalf("v3 panel copy (%d bytes) differs from a fresh v4 write (%d bytes)", len(a), len(b))
 	}
 }
 

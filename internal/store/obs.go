@@ -126,7 +126,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		label := obs.Label{Key: "codec", Value: codecName(byte(id))}
 		r.GaugeFunc("apsp_store_codec_tiles", "Tiles per codec in the open store.",
 			func() float64 { return float64(s.codecTiles[id]) }, label)
-		r.RegisterHistogram("apsp_store_decode_seconds", "Cold tile decode latency by codec.",
+		r.RegisterHistogram("apsp_store_decode_seconds", "Whole-tile decode latency by codec (tile-cache misses only).",
 			s.decodeHist[id], label)
 	}
 }

@@ -31,9 +31,11 @@ import (
 const manifestMagic = "APSPCKPT"
 
 // manifestVersion is the manifest schema version (2 added per-tile
-// lengths and codecs for the variable-length v3 store layout; version-1
-// manifests predate them and cannot be resumed by this build).
-const manifestVersion = 2
+// lengths and codecs for the variable-length v3 store layout; 3 marks a
+// partial file in the v4 layout, whose ivarint tiles differ from v3's).
+// Older manifests describe partial files this build cannot finish and
+// are refused.
+const manifestVersion = 3
 
 // manifest is the JSON sidecar a checkpointing PanelWriter rewrites after
 // every durable panel. Panels counts row panels whose tile bytes are

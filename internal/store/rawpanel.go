@@ -9,7 +9,9 @@
 // way out of the parent and again on the way into the candidate, so a
 // torn copy can never be published. The per-tile metadata (length, CRC,
 // codec) rides alongside the bytes, which is how a compressed parent's
-// density survives into the child for free.
+// density survives into the child for free. A v3 parent's ivarint tiles
+// are the one exception: their whole-tile layout predates v4, so they
+// are re-encoded on the way out.
 package store
 
 import (
@@ -29,19 +31,6 @@ type TileMeta struct {
 	Codec  byte
 }
 
-// PanelBytes returns the encoded size of row panel bi — the bytes
-// ReadPanelRaw will produce for it.
-func (s *Store) PanelBytes(bi int) (int64, error) {
-	if bi < 0 || bi >= s.q {
-		return 0, fmt.Errorf("store: panel %d outside [0,%d)", bi, s.q)
-	}
-	var total int64
-	for bj := 0; bj < s.q; bj++ {
-		total += s.index[bi*s.q+bj].length
-	}
-	return total, nil
-}
-
 // ReadPanelRaw reads row panel bi (all q tiles of tile-row bi) as one
 // contiguous encoded byte span, reusing buf's backing array when it is
 // large enough, and returns the per-tile metadata (length, CRC32C,
@@ -50,7 +39,8 @@ func (s *Store) PanelBytes(bi int) (int64, error) {
 // the tile and returns ErrCorruptTile, so corruption in the parent store
 // surfaces here instead of being propagated into a copy. Version-1
 // stores carry no checksums: their CRCs are computed fresh from the
-// bytes read.
+// bytes read. The bytes are always in this build's (v4) encoding: a v3
+// store's ivarint tiles are decoded and re-encoded after they verify.
 func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 	if bi < 0 || bi >= s.q {
 		return nil, nil, fmt.Errorf("store: panel %d outside [0,%d)", bi, s.q)
@@ -83,7 +73,36 @@ func (s *Store) ReadPanelRaw(bi int, buf []byte) ([]byte, []TileMeta, error) {
 		}
 		metas[bj] = TileMeta{Length: ref.length, CRC: got, Codec: ref.codec}
 	}
+	if s.ver == versionV3 {
+		return s.reencodeV3Panel(bi, buf, metas)
+	}
 	return buf, metas, nil
+}
+
+// reencodeV3Panel rewrites the verified span of a v3 store's panel bi in
+// the v4 encoding: ivarint tiles are decoded whole and encoded again
+// (falling back to raw exactly as a fresh write would), every other tile
+// is copied as is.
+func (s *Store) reencodeV3Panel(bi int, span []byte, metas []TileMeta) ([]byte, []TileMeta, error) {
+	var out, enc []byte
+	var off int64
+	for bj, m := range metas {
+		payload := span[off : off+m.Length]
+		off += m.Length
+		if !s.wholeTileOnly(bi*s.q + bj) {
+			out = append(out, payload...)
+			continue
+		}
+		tile, err := decodeIVarintV3(payload, tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj))
+		if err != nil {
+			return nil, nil, s.quarantine(bi*s.q+bj, bi, bj, err)
+		}
+		var cid byte
+		enc, cid = encodeTile(codecs[CodecIVarint], tile, enc)
+		out = append(out, enc...)
+		metas[bj] = TileMeta{Length: int64(len(enc)), CRC: crc32.Checksum(enc, castagnoli), Codec: cid}
+	}
+	return out, metas, nil
 }
 
 // WriteRawPanel appends the next row panel from its encoded bytes, as

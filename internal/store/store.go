@@ -9,13 +9,13 @@
 // serving half of the pipeline. Layout (little-endian):
 //
 //	[0:8]    magic "APSPTDS1"
-//	[8:12]   uint32 format version (3; v1 and v2 files still open)
+//	[8:12]   uint32 format version (4; v1, v2 and v3 files still open)
 //	[12:16]  uint32 n (vertices per side)
 //	[16:20]  uint32 b (tile edge; trailing tiles are ragged)
 //	[20:24]  uint32 q = ceil(n/b) (tiles per side, redundant, validated)
 //	[24:...] q*q index entries, row-major:
-//	           v3: {uint64 offset, uint64 length, uint32 crc32c,
-//	                byte codec, 3 zero bytes}
+//	           v3, v4: {uint64 offset, uint64 length, uint32 crc32c,
+//	                    byte codec, 3 zero bytes}
 //	           v2: {uint64 offset, uint64 length, uint32 crc32c, uint32 0}
 //	           v1: {uint64 offset, uint64 length}
 //	[...]    tile payloads, contiguous in index order: raw tiles are
@@ -30,15 +30,24 @@
 // payload bytes, so a v3 store written with the raw codec differs from
 // v2 only in the header version and codec bytes.
 //
-// Versions 2 and 3 carry a CRC32C (Castagnoli) checksum of every tile's
-// encoded bytes in its index entry. The checksum is verified on every
-// cold read — both the whole-tile path and the first row-span touch of a
-// tile — so a flipped bit on disk surfaces as ErrCorruptTile instead of a
-// silently wrong distance. A tile that fails its checksum is quarantined:
-// later reads fail fast without re-reading the disk, and the quarantine
-// count is surfaced for health reporting (a serving layer can degrade or
-// recompute instead of serving garbage). Version-1 stores open and serve
-// exactly as before, with no checksum protection.
+// Version 4 makes every tile row-addressable. An ivarint payload becomes
+// the 9-byte codec header, a table of h uint32 row-end offsets (relative
+// to the payload start) and one delta stream per row, its predecessor
+// reset to 0 at the row's start; raw and f32 rows already sit at
+// computed offsets. A v4 file differs from v3 only in the version and in
+// its ivarint payloads. A v3 ivarint tile (one delta stream over the
+// whole tile) is the only tile left that must be decoded whole.
+//
+// Versions 2 and later carry a CRC32C (Castagnoli) checksum of every
+// tile's encoded bytes in its index entry. The checksum is verified on
+// every cold read — both the whole-tile path and the first row-span
+// touch of a tile — so a flipped bit on disk surfaces as ErrCorruptTile
+// instead of a silently wrong distance. A tile that fails its checksum
+// (or whose codec framing is malformed) is quarantined: later reads fail
+// fast without re-reading the disk, and the quarantine count is surfaced
+// for health reporting (a serving layer can degrade or recompute instead
+// of serving garbage). Version-1 stores open and serve exactly as
+// before, with no checksum protection.
 //
 // Disk reads can also be retried: Options.ReadRetries grants a bounded
 // retry budget with exponential backoff for transient I/O errors (a
@@ -54,11 +63,13 @@
 //   - An assembled-row cache sits above the tiles: Row/RowView/RowInto
 //     (and Dist, when row caching is on) serve whole n-length rows from
 //     one lookup, with zero tile traffic on a hit.
-//   - A row-cache miss does not decode whole tiles: the needed row span
-//     of each tile is read straight from its computed file offset (the
-//     tile header is validated once per tile), so assembling a row costs
-//     q small preads instead of q full tile reads. IO staging buffers
-//     come from a sync.Pool, keeping misses allocation-free.
+//   - A row-cache miss does not decode whole tiles, whatever their codec:
+//     the needed row segment of each tile is read straight from disk and
+//     decoded alone (the tile's checksum, header and row table are
+//     validated once per tile), so assembling a row costs q small preads
+//     — two for an ivarint tile, whose row-end table entries come first —
+//     instead of q full tile reads and decodes. IO staging buffers come
+//     from a sync.Pool, keeping misses allocation-free.
 //
 // Tiles and rows handed out are shared read-only between concurrent
 // callers and owned by their cache: they are allocated on the heap, never
@@ -75,7 +86,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -88,7 +98,8 @@ import (
 
 const (
 	magic      = "APSPTDS1"
-	version    = 3 // written by this build: per-tile codecs
+	version    = 4 // written by this build: row-addressable ivarint tiles
+	versionV3  = 3 // still readable: per-tile codecs, whole-tile ivarint
 	versionV2  = 2 // still readable: per-tile checksums, raw tiles only
 	versionV1  = 1 // still readable: no per-tile checksums
 	fileHdrLen = 24
@@ -420,8 +431,8 @@ type Store struct {
 
 	// hdrOK memoizes per-tile integrity validation for the row-span read
 	// path: the first span read of a tile checks the whole tile (CRC32C
-	// on v2, the 9-byte Marshal header on v1) and later reads trust the
-	// cached verdict.
+	// on v2+, then the codec's header and row layout) and later reads
+	// trust the cached verdict.
 	hdrOK     []atomic.Bool
 	spanReads atomic.Int64
 
@@ -442,8 +453,8 @@ type Store struct {
 	encodedBytes int64
 	rawBytes     int64
 
-	// decodeHist times tile decodes per codec (cold reads only; cache
-	// hits never decode).
+	// decodeHist times whole-tile decodes per codec (tile-cache misses
+	// only; cache hits and row-span reads never decode a whole tile).
 	decodeHist [numCodecs]*obs.Histogram
 
 	// readHook, when set before concurrent use, observes every tile disk
@@ -455,13 +466,14 @@ type Store struct {
 // decoded data is always copied out, so the raw bytes never escape.
 var ioBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func getIOBuf(n int) *[]byte {
-	p := ioBufPool.Get().(*[]byte)
+// growIOBuf resizes a pooled buffer to n bytes, reallocating only when
+// its capacity falls short, and returns the resized slice.
+func growIOBuf(p *[]byte, n int) []byte {
 	if cap(*p) < n {
 		*p = make([]byte, n)
 	}
 	*p = (*p)[:n]
-	return p
+	return *p
 }
 
 // Open opens a store file for querying with a tile cache of cacheBytes
@@ -513,7 +525,7 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 	ver := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	idxEntryLen := int64(idxEntryLenV2)
 	switch ver {
-	case version, versionV2:
+	case version, versionV3, versionV2:
 	case versionV1:
 		idxEntryLen = idxEntryLenV1
 	default:
@@ -553,7 +565,7 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 				ErrMalformed, i, off, length, size)
 		}
 		var codec byte
-		if ver >= version {
+		if ver >= versionV3 {
 			codec = ent[20]
 			if int(codec) >= numCodecs {
 				return nil, fmt.Errorf("%w: tile %d uses codec %d, this build knows %d codecs",
@@ -561,9 +573,8 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 			}
 		}
 		// Tile shapes are fully determined by (n, b), so every raw index
-		// length is checkable up front — this is what lets the span
-		// reader trust computed intra-tile offsets — and a compressed
-		// tile must be strictly smaller (the writers' fallback rule).
+		// length is checkable up front, and a compressed tile must be
+		// strictly smaller (the writers' fallback rule).
 		bi, bj := i/q, i%q
 		raw := matrix.DenseMarshaledSize(tileEdge(n, b, bi), tileEdge(n, b, bj))
 		if codec == CodecRaw {
@@ -574,10 +585,10 @@ func open(f io.ReaderAt, size int64, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("%w: tile %d claims codec %s but its %d bytes are not smaller than raw (%d)",
 				ErrMalformed, i, codecName(codec), length, raw)
 		}
-		// v3 payloads are contiguous in index order — variable lengths
+		// v3+ payloads are contiguous in index order — variable lengths
 		// make this the only layout the raw-panel span copy can trust,
 		// so it is a format invariant, not a writer convention.
-		if ver >= version && off != nextOff {
+		if ver >= versionV3 && off != nextOff {
 			return nil, fmt.Errorf("%w: tile %d at offset %d, contiguous layout implies %d", ErrMalformed, i, off, nextOff)
 		}
 		nextOff = off + length
@@ -664,16 +675,17 @@ func (s *Store) TilesPerSide() int { return s.q }
 // FileBytes returns the on-disk size of the store.
 func (s *Store) FileBytes() int64 { return s.fileBytes }
 
-// Version returns the on-disk format version (3 adds per-tile codecs, 2
-// per-tile checksums; 1 predates both).
+// Version returns the on-disk format version (4 makes ivarint tiles
+// row-addressable, 3 adds per-tile codecs, 2 per-tile checksums; 1
+// predates all three).
 func (s *Store) Version() int { return s.ver }
 
 // Checksummed reports whether the store's tiles carry CRC32C checksums
 // (format v2 and later).
 func (s *Store) Checksummed() bool { return s.ver >= versionV2 }
 
-// TileCodec returns the codec byte of tile (bi, bj) — CodecRaw on every
-// pre-v3 store.
+// TileCodec returns the codec byte of tile (bi, bj) — CodecRaw on v1 and
+// v2 stores.
 func (s *Store) TileCodec(bi, bj int) byte {
 	if bi < 0 || bi >= s.q || bj < 0 || bj >= s.q {
 		return CodecRaw
@@ -731,9 +743,11 @@ func (s *Store) PreferredCodec() Codec {
 // PreferredCodec) for health reporting.
 func (s *Store) CodecName() string { return s.PreferredCodec().Name() }
 
-// DecodeHistogram returns the latency histogram of cold tile decodes for
-// the named codec (nil for unknown names). Exposed so RegisterMetrics
-// callers and benches can read decode timings per codec.
+// DecodeHistogram returns the latency histogram of whole-tile decodes
+// for the named codec (nil for unknown names). Row-span reads decode one
+// row segment and are counted in RowCacheStats.SpanReads instead.
+// Exposed so RegisterMetrics callers and benches can read decode timings
+// per codec.
 func (s *Store) DecodeHistogram(name string) *obs.Histogram {
 	for id := 0; id < numCodecs; id++ {
 		if codecName(byte(id)) == name {
@@ -946,115 +960,117 @@ func (s *Store) readTile(bi, bj, id int) (*matrix.Block, error) {
 		s.readHook(bi, bj)
 	}
 	ref := s.index[id]
-	bp := getIOBuf(int(ref.length))
+	bp := ioBufPool.Get().(*[]byte)
 	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, ref.off); err != nil {
+	data := growIOBuf(bp, int(ref.length))
+	if err := s.readAt(data, ref.off); err != nil {
 		return nil, fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
 	}
-	if s.ver >= versionV2 {
-		if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-			return nil, s.quarantine(id, bi, bj,
-				fmt.Errorf("checksum %08x, index says %08x", got, ref.crc))
-		}
+	if err := s.verify(id, bi, bj, data); err != nil {
+		return nil, err
 	}
 	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
 	start := time.Now()
-	blk, err := decodeTile(ref.codec, *bp, h, w)
+	var blk *matrix.Block
+	var err error
+	if s.wholeTileOnly(id) {
+		blk, err = decodeIVarintV3(data, h, w)
+	} else {
+		blk, err = decodeTile(ref.codec, data, h, w)
+	}
 	if err != nil {
 		return nil, s.quarantine(id, bi, bj, err)
 	}
 	s.decodeHist[ref.codec].RecordSince(start)
-	if ref.codec == CodecRaw {
-		// Only raw tiles may take the span fast path: its computed
-		// intra-tile offsets assume the fixed Marshal layout.
-		s.hdrOK[id].Store(true)
-	}
+	// A tile that decoded whole has proved its framing: its rows may be
+	// read straight from disk from now on.
+	s.hdrOK[id].Store(true)
 	return blk, nil
 }
 
-// ensureTileHeader validates the 9-byte Marshal header of a v1 tile
-// once, memoizing the verdict, so span reads trust computed payload
-// offsets without re-reading headers on every query. (v2 tiles take the
-// verified full-read path in readRowSpan instead and never get here
-// cold.)
-func (s *Store) ensureTileHeader(id, bi, bj int) error {
-	if s.hdrOK[id].Load() {
+// verify checks a whole tile's bytes against the CRC32C in its index
+// entry (v2+ stores; v1 carries none), quarantining the tile on a
+// mismatch.
+func (s *Store) verify(id, bi, bj int, data []byte) error {
+	if s.ver < versionV2 {
 		return nil
 	}
-	var hdr [matrix.HeaderLen]byte
-	if err := s.readAt(hdr[:], s.index[id].off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d) header: %w", bi, bj, err)
+	if got := crc32.Checksum(data, castagnoli); got != s.index[id].crc {
+		return s.quarantine(id, bi, bj, fmt.Errorf("checksum %08x, index says %08x", got, s.index[id].crc))
 	}
-	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
-	if err := matrix.ValidateDenseHeader(hdr[:], h, w); err != nil {
-		return fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
-	}
-	s.hdrOK[id].Store(true)
 	return nil
 }
 
-// readRowSpan reads row r of tile (bi, bj) straight from its computed
-// file offset into seg (len = tile width), bypassing tile decode: q such
-// spans assemble a full matrix row with q small preads instead of q full
-// tile reads. On a v2 store the first span touch of a tile reads the
-// whole tile instead and verifies its CRC32C — one read that both proves
-// integrity and serves the span — so every byte the span path ever
-// serves was checksum-covered at least once since open; later touches do
-// the small pread and trust the memoized verdict.
+// wholeTileOnly reports whether tile id has no row-addressable layout: a
+// v3 ivarint tile is one delta stream over the whole tile, decoded whole
+// through the tile cache. Every other tile of every version is read row
+// by row.
+func (s *Store) wholeTileOnly(id int) bool {
+	return s.ver == versionV3 && s.index[id].codec == CodecIVarint
+}
+
+// readRowSpan reads row r of tile (bi, bj) into seg (len = tile width)
+// through the tile's codec, without decoding the rest of the tile. The
+// first touch of a tile reads it whole, checks its CRC32C and lets the
+// codec validate the header and row layout — one read that proves
+// integrity and serves the row — and memoizes the verdict in hdrOK, so
+// every byte the span path ever serves was checksum-covered at least
+// once since open. Later touches pread the row's index bytes, if its
+// codec keeps any (the ivarint row-end table), then its segment, and
+// decode exactly len(seg) values. A malformed table or segment
+// quarantines the tile.
 func (s *Store) readRowSpan(bi, bj, r int, seg []float64) error {
 	id := bi*s.q + bj
 	if s.quar[id].Load() {
 		return fmt.Errorf("%w: tile (%d,%d) is quarantined", ErrCorruptTile, bi, bj)
 	}
-	if s.ver >= versionV2 && !s.hdrOK[id].Load() {
-		return s.readRowSpanVerified(bi, bj, id, r, seg)
-	}
-	if s.readHook != nil {
-		s.readHook(bi, bj)
-	}
-	if err := s.ensureTileHeader(id, bi, bj); err != nil {
-		return err
-	}
-	w := len(seg)
-	off := s.index[id].off + matrix.HeaderLen + int64(r)*int64(w)*8
-	bp := getIOBuf(w * 8)
-	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d) row %d: %w", bi, bj, r, err)
-	}
-	buf := *bp
-	for t := 0; t < w; t++ {
-		seg[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*t:]))
-	}
-	s.spanReads.Add(1)
-	return nil
-}
-
-// readRowSpanVerified is the cold-tile span path of a v2 store: one
-// full-tile read whose bytes are CRC32C-checked and header-validated
-// before the requested row segment is copied out, memoized in hdrOK.
-func (s *Store) readRowSpanVerified(bi, bj, id, r int, seg []float64) error {
 	if s.readHook != nil {
 		s.readHook(bi, bj)
 	}
 	ref := s.index[id]
-	bp := getIOBuf(int(ref.length))
+	c := codecs[ref.codec]
+	h, w := tileEdge(s.n, s.b, bi), len(seg)
+	ilo, ihi := c.RowIndex(r, h, w)
+	bp := ioBufPool.Get().(*[]byte)
 	defer ioBufPool.Put(bp)
-	if err := s.readAt(*bp, ref.off); err != nil {
-		return fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
+
+	var data []byte // row r's segment
+	if !s.hdrOK[id].Load() {
+		tile := growIOBuf(bp, int(ref.length))
+		if err := s.readAt(tile, ref.off); err != nil {
+			return fmt.Errorf("store: tile (%d,%d): %w", bi, bj, err)
+		}
+		if err := s.verify(id, bi, bj, tile); err != nil {
+			return err
+		}
+		if err := c.CheckRows(tile, h, w); err != nil {
+			return s.quarantine(id, bi, bj, err)
+		}
+		s.hdrOK[id].Store(true)
+		lo, hi, err := rowBounds(c, tile[ilo:ihi], r, h, w, ref.length)
+		if err != nil {
+			return s.quarantine(id, bi, bj, err)
+		}
+		data = tile[lo:hi]
+	} else {
+		var index []byte
+		if ihi > ilo {
+			index = growIOBuf(bp, ihi-ilo)
+			if err := s.readAt(index, ref.off+int64(ilo)); err != nil {
+				return fmt.Errorf("store: tile (%d,%d) row %d index: %w", bi, bj, r, err)
+			}
+		}
+		lo, hi, err := rowBounds(c, index, r, h, w, ref.length)
+		if err != nil {
+			return s.quarantine(id, bi, bj, err)
+		}
+		data = growIOBuf(bp, int(hi-lo))
+		if err := s.readAt(data, ref.off+lo); err != nil {
+			return fmt.Errorf("store: tile (%d,%d) row %d: %w", bi, bj, r, err)
+		}
 	}
-	if got := crc32.Checksum(*bp, castagnoli); got != ref.crc {
-		return s.quarantine(id, bi, bj,
-			fmt.Errorf("checksum %08x, index says %08x", got, ref.crc))
-	}
-	h, w := tileEdge(s.n, s.b, bi), tileEdge(s.n, s.b, bj)
-	if err := matrix.ValidateDenseHeader((*bp)[:matrix.HeaderLen], h, w); err != nil {
+	if err := c.DecodeRow(data, seg); err != nil {
 		return s.quarantine(id, bi, bj, err)
-	}
-	s.hdrOK[id].Store(true)
-	buf := (*bp)[matrix.HeaderLen+r*w*8:]
-	for t := 0; t < w; t++ {
-		seg[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*t:]))
 	}
 	s.spanReads.Add(1)
 	return nil
@@ -1062,19 +1078,18 @@ func (s *Store) readRowSpanVerified(bi, bj, id, r int, seg []float64) error {
 
 // assembleRow fills dst (len n) with row i, taking each segment from the
 // tile cache when the tile happens to be resident and from a direct
-// row-span read otherwise. For raw tiles it never populates the tile
-// cache: decoding a full b x b tile to extract one row would cost b
-// times the IO and evict genuinely hot tiles. A compressed tile has no
-// addressable row span — the whole tile must decode anyway — so those
-// segments route through Tile, which caches the decoded block: the
-// decode cost is already paid, and the next rows of the same panel hit.
+// row-span read otherwise. It never populates the tile cache: decoding a
+// full b x b tile to extract one row would cost b times the work and
+// evict genuinely hot tiles. The one exception is a v3 ivarint tile,
+// which has no row layout: it decodes whole through Tile, which caches
+// it so the next rows of the same panel hit.
 func (s *Store) assembleRow(ctx context.Context, i int, dst []float64) error {
 	bi, r := i/s.b, i%s.b
 	for bj := 0; bj < s.q; bj++ {
 		w := tileEdge(s.n, s.b, bj)
 		seg := dst[bj*s.b : bj*s.b+w]
 		id := bi*s.q + bj
-		if s.index[id].codec != CodecRaw {
+		if s.wholeTileOnly(id) {
 			tile, err := s.Tile(ctx, bi, bj)
 			if err != nil {
 				return err
